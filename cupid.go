@@ -42,15 +42,17 @@
 // the -race determinism tests); the post-order TreeMatch sweep itself
 // stays sequential because the paper's increase/decrease steps are order
 // dependent. Similarity tables use a flat row-major matrix (one backing
-// []float64, internal/matrix) rather than [][]float64, and each element
-// name's per-token-type partition is computed once at analysis time, which
-// together make the steady-state name-similarity path allocation-free.
+// []float64, internal/matrix) rather than [][]float64. Analysis interns
+// every schema's name tokens into a small local vocabulary, and each match
+// scores every distinct token pair of the two vocabularies once, into one
+// dense table that the category and element sweeps read by index.
 //
 // Concurrency contract: a Matcher (and the package-level Match) is safe
-// for concurrent use — the token-similarity cache is sharded behind
-// striped mutexes, and all other per-match state is call-local. Configure
-// first, then share: mutating Config, Params or the Thesaurus while
-// matches are in flight is not synchronized.
+// for concurrent use — all per-match state, the token-similarity table
+// included, is call-local, and nothing is shared between matches.
+// Configure first, then share: analysis records thesaurus keys in each
+// prepared schema, so Config, Params and the Thesaurus must not be changed
+// once schemas have been prepared or matched with them.
 //
 // # Repository matching
 //
@@ -266,9 +268,9 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Matcher runs the Cupid pipeline for one configuration. A Matcher may be
 // reused across schema pairs and is safe for concurrent use (see the
-// package documentation's concurrency contract): the token-similarity
-// cache is sharded behind striped mutexes and all other per-match state is
-// call-local. Configure first, then share.
+// package documentation's concurrency contract): all per-match state is
+// call-local. Configure first, then share, and do not change the
+// thesaurus once schemas have been prepared with it.
 type Matcher = core.Matcher
 
 // NewMatcher builds a Matcher, validating the configuration.

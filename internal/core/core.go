@@ -130,11 +130,13 @@ type Result struct {
 }
 
 // Matcher runs the Cupid pipeline for one configuration. A Matcher may be
-// reused across schema pairs and is safe for concurrent Match calls: the
-// linguistic matcher's token-similarity cache is sharded and lock-striped,
-// and all other per-match state is local to the call. Match itself fans
-// the quadratic phases out over a bounded worker pool (see internal/par),
-// so even a single call uses the available cores.
+// reused across schema pairs and is safe for concurrent Match calls: all
+// per-match state, including the linguistic phase's token-similarity
+// table, is local to the call. Match itself fans the quadratic phases out
+// over a bounded worker pool (see internal/par), so even a single call
+// uses the available cores. Prepare records thesaurus keys in each
+// artifact, so the configured thesaurus must not be changed once schemas
+// have been prepared with it.
 type Matcher struct {
 	cfg  Config
 	ling *linguistic.Matcher
@@ -168,20 +170,13 @@ func (m *Matcher) Match(src, dst *model.Schema) (*Result, error) {
 
 // matchLinguisticOnly implements the §9.3 methodology: similarity is the
 // linguistic similarity of complete path names; mapping generation applies
-// the same acceptance threshold. Each node's path is normalized once per
-// Prepared artifact (tokS/tokT are the cached token sets; the old code
-// re-tokenized both full path strings for every node pair — O(n·m)
-// normalizations), then the pair sweep runs NameSimTS over the cached
-// token sets, rows fanned out over the worker pool.
-func (m *Matcher) matchLinguisticOnly(res *Result, tokS, tokT []linguistic.TokenSet) (*Result, error) {
+// the same acceptance threshold. Each node's path is normalized and
+// interned once per Prepared artifact (tokS/tokT), then NameSimMatrix
+// scores every node pair from one token-similarity table of the two
+// path vocabularies, rows fanned out over the worker pool.
+func (m *Matcher) matchLinguisticOnly(res *Result, tokS, tokT *linguistic.TokenSets) (*Result, error) {
 	ts, tt := res.SourceTree, res.TargetTree
-	lsim := matrix.New(ts.Len(), tt.Len())
-	par.For(ts.Len(), func(i int) {
-		row := lsim.Row(i)
-		for j := range tokT {
-			row[j] = m.ling.NameSimTS(tokS[i], tokT[j])
-		}
-	})
+	lsim := m.ling.NameSimMatrix(tokS, tokT)
 	res.LSim = lsim
 	res.WSim = lsim
 	// Reuse the mapping generator by presenting lsim as wsim.

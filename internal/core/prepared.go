@@ -39,11 +39,11 @@ type Prepared struct {
 	fpOnce sync.Once
 	fp     string
 
-	// pathToks caches the normalized token set of every node's full
+	// pathToks caches the interned token sets of every node's full
 	// context path. Only ModeLinguisticOnly consumes it, so it is computed
 	// lazily (once, concurrency-safe) instead of on every Prepare.
 	pathOnce sync.Once
-	pathToks []linguistic.TokenSet
+	pathToks *linguistic.TokenSets
 
 	// sig caches the pruning signature. Lazy like fp: only repository
 	// candidate pruning (registry.MatchTop) reads it, so plain Match never
@@ -123,14 +123,15 @@ func (m *Matcher) Prepare(s *model.Schema) (*Prepared, error) {
 }
 
 // pathTokens returns the normalized token set of every node's context
-// path, computed once per Prepared (ModeLinguisticOnly's per-tree cost).
-func (p *Prepared) pathTokens() []linguistic.TokenSet {
+// path, interned, computed once per Prepared (ModeLinguisticOnly's
+// per-tree cost).
+func (p *Prepared) pathTokens() *linguistic.TokenSets {
 	p.pathOnce.Do(func() {
 		toks := make([]linguistic.TokenSet, p.tree.Len())
 		par.For(p.tree.Len(), func(i int) {
 			toks[i] = linguistic.Normalize(p.tree.Nodes[i].Path(), p.owner.ling.Th)
 		})
-		p.pathToks = toks
+		p.pathToks = p.owner.ling.Intern(toks)
 	})
 	return p.pathToks
 }

@@ -106,6 +106,43 @@ func TestClusterDeterministicAcrossInputOrder(t *testing.T) {
 	}
 }
 
+// TestClusterMedoidElectionIgnoresMapOrder: a node's total edge weight is
+// a float sum, whose value depends on the order of its terms. In the
+// clique below n0's and n1's weights differ by one ulp depending on
+// that order: summed in neighbor order n0 has the larger weight (and is
+// the medoid), in other orders n1 can. Repeated clustering must elect the
+// same medoid and encode byte-identically every time.
+func TestClusterMedoidElectionIgnoresMapOrder(t *testing.T) {
+	// (0.45+0.45)+0.5319 is one ulp above (0.45+0.5319)+0.45.
+	aff := map[string][]Neighbor{
+		"n0": {{"n1", 0.45}, {"n2", 0.45}, {"n3", 0.5319}},
+		"n1": {{"n0", 0.45}, {"n2", 0.5319}, {"n3", 0.45}},
+		"n2": {{"n0", 0.45}, {"n1", 0.45}, {"n3", 0.45}},
+		"n3": {{"n0", 0.45}, {"n1", 0.45}, {"n2", 0.45}},
+	}
+	var items []Item
+	for _, k := range []string{"n0", "n1", "n2", "n3"} {
+		items = append(items, Item{Key: k, Sig: sigOf(k)})
+	}
+	neighbors := func(sig model.Signature, k int) []Neighbor { return aff[sig.Tokens[0]] }
+	var want []byte
+	for run := 0; run < 40; run++ {
+		res := Cluster(items, neighbors, Options{})
+		if len(res.Families) != 1 || res.Families[0].Medoid != "n0" {
+			t.Fatalf("run %d: families %v, want one family with medoid n0", run, familiesOf(res))
+		}
+		got, err := res.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("run %d encodes differently:\n%s\nvs\n%s", run, got, want)
+		}
+	}
+}
+
 // TestClusterBridgePairDoesNotMergeFamilies is the single-link fragility
 // guard: one freak high-affinity pair between two otherwise disjoint
 // families must not chain them into one component, because the pair is

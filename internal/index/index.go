@@ -115,6 +115,13 @@ type Index struct {
 	// ndocs mirrors Len as an atomic counter so ProbeStats can read the
 	// corpus size without walking the directory shards.
 	ndocs atomic.Int64
+	// replaceMu makes a replace atomic to TopK. A replace removes the old
+	// entry and adds the new one, possibly in another shard, under two
+	// separate shard locks; it holds the write lock across both, and TopK
+	// holds the read lock across its whole shard sweep, so no query sees
+	// the key in neither shard or in both. Fresh inserts and removals
+	// change one shard under that shard's lock and do not take it.
+	replaceMu sync.RWMutex
 }
 
 // New builds an empty index with the given shard count (DefaultShards
@@ -155,20 +162,24 @@ func Hash32(s string) uint32 {
 // Upsert indexes the signature under key, evicting any previous content
 // indexed under the same key. The resident shard is chosen by the content
 // fingerprint, so replacing a schema may move it between shards; the key
-// directory tracks the move.
+// directory tracks the move. A replace is atomic to TopK: a concurrent
+// query finds the key exactly once, with its old or its new content.
 func (ix *Index) Upsert(key, fingerprint string, sig model.Signature) {
 	d := &ix.dir[Hash32(key)%uint32(len(ix.dir))]
 	target := int(Hash32(fingerprint) % uint32(len(ix.shards)))
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if old, ok := d.loc[key]; ok {
+		ix.replaceMu.Lock()
 		if oldSig, had := ix.shards[old].remove(key); had {
 			ix.dfUpdate(oldSig, -1)
 		}
+		ix.shards[target].add(key, sig)
+		ix.replaceMu.Unlock()
 	} else {
 		ix.ndocs.Add(1)
+		ix.shards[target].add(key, sig)
 	}
-	ix.shards[target].add(key, sig)
 	ix.dfUpdate(sig, +1)
 	d.loc[key] = target
 }
@@ -320,9 +331,11 @@ func (s *shard) commonCutoff() int {
 // count or maintenance interleaving.
 func (ix *Index) TopK(q model.Signature, k int) ([]Candidate, Stats) {
 	perShard := make([][]Candidate, len(ix.shards))
+	ix.replaceMu.RLock()
 	par.For(len(ix.shards), func(i int) {
 		perShard[i] = ix.shards[i].survivors(q)
 	})
+	ix.replaceMu.RUnlock()
 	var out []Candidate
 	for _, cs := range perShard {
 		out = append(out, cs...)

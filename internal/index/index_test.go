@@ -141,6 +141,55 @@ func TestUpsertReplacesAcrossShards(t *testing.T) {
 	}
 }
 
+// TestReplaceIsAtomicToTopK: while one goroutine keeps replacing a key's
+// content — moving it between shards and within one — every concurrent
+// TopK must find that key exactly once, never in neither shard or both.
+func TestReplaceIsAtomicToTopK(t *testing.T) {
+	const shards = 8
+	ix := New(shards)
+	for i := 0; i < 20; i++ {
+		key := fmt.Sprintf("doc%d", i)
+		ix.Upsert(key, fp(key, 0), sig(3, "order", fmt.Sprintf("tok%d", i)))
+	}
+	ix.Upsert("orders", fp("orders", 0), sig(3, "order", "date"))
+
+	const replaces = 3000
+	moves := 0
+	for v := 1; v <= replaces; v++ {
+		if Hash32(fp("orders", v))%shards != Hash32(fp("orders", v-1))%shards {
+			moves++
+		}
+	}
+	if moves == 0 || moves == replaces {
+		t.Fatalf("%d of %d replaces move shards; want both kinds", moves, replaces)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := 1; v <= replaces; v++ {
+			ix.Upsert("orders", fp("orders", v), sig(3, "order", fmt.Sprintf("v%d", v%4)))
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		got, _ := ix.TopK(sig(3, "order"), 0)
+		n := 0
+		for _, c := range got {
+			if c.Key == "orders" {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("TopK found the replaced key %d times, want exactly once", n)
+		}
+	}
+}
+
 func TestRemove(t *testing.T) {
 	ix := New(4)
 	ix.Upsert("a", fp("a", 0), sig(2, "order", "date"))

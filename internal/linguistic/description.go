@@ -46,13 +46,16 @@ func filterDescTokens(ts TokenSet) TokenSet {
 // (nil for elements with no usable description), computed once per
 // SchemaInfo and cached — a prepared schema reused across many matches
 // (internal/registry) pays the description normalization once, not per
-// call. Concurrency-safe via sync.Once; the cache is keyed to the
-// SchemaInfo, which — like its name Tokens — is tied to the thesaurus of
-// the matcher that analyzed it.
+// call. The same pass interns the sets for BlendDescriptions.
+// Concurrency-safe via sync.Once; the cache is keyed to the SchemaInfo,
+// which — like its name Tokens — is tied to the thesaurus of the matcher
+// that analyzed it.
 func (m *Matcher) descTokens(si *SchemaInfo) []*TokenSet {
 	si.descOnce.Do(func() {
 		es := si.Schema.Elements()
 		out := make([]*TokenSet, len(es))
+		sets := make([]TokenSet, len(es))
+		has := false
 		for i, e := range es {
 			if e.Description == "" {
 				continue
@@ -61,9 +64,12 @@ func (m *Matcher) descTokens(si *SchemaInfo) []*TokenSet {
 			if len(ts.Tokens) == 0 {
 				continue
 			}
-			out[i] = &ts
+			out[i], sets[i], has = &ts, ts, true
 		}
 		si.descToks = out
+		if has {
+			si.descs = intern(m.Th, sets)
+		}
 	})
 	return si.descToks
 }
@@ -85,22 +91,24 @@ func (m *Matcher) BlendDescriptions(a, b *SchemaInfo, lsim matrix.Matrix, weight
 	if weight > 1 {
 		weight = 1
 	}
-	ea := a.Schema.Elements()
-	eb := b.Schema.Elements()
 	descA := m.descTokens(a)
 	descB := m.descTokens(b)
+	if a.descs.Len() == 0 || b.descs.Len() == 0 {
+		return // one side has no descriptions: nothing blends
+	}
+	t := m.newSimTable(&a.descs, &b.descs)
 	// Rows are independent (each writes its own matrix row), so the pair
 	// loop fans out over the worker pool.
-	par.For(len(ea), func(i int) {
+	par.For(len(descA), func(i int) {
 		if descA[i] == nil {
 			return
 		}
 		row := lsim.Row(i)
-		for j := range eb {
+		for j := range descB {
 			if descB[j] == nil {
 				continue
 			}
-			ds := m.NameSimTS(*descA[i], *descB[j])
+			ds := m.nameSimAt(&t, &a.descs, i, &b.descs, j)
 			row[j] = (1-weight)*row[j] + weight*ds
 		}
 	})

@@ -4,8 +4,9 @@ package linguistic_test
 // category-pair and element-pair comparisons out over a worker pool, and
 // the ISSUE contract is that the parallel result is bit-identical to the
 // sequential one. Run with -race: these tests force multiple workers even
-// on a single-core machine, so the sharded sim cache and the disjoint
-// matrix writes are actually exercised concurrently.
+// on a single-core machine, so the shared reads of the token-similarity
+// table and the disjoint matrix writes are actually exercised
+// concurrently.
 
 import (
 	"testing"
@@ -46,8 +47,8 @@ func TestLSimParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// The sharded cache must also be safe for concurrent NameSim callers
-// (concurrent Match calls share one Matcher).
+// A Matcher must also be safe for concurrent NameSim callers (concurrent
+// Match calls share one Matcher).
 func TestConcurrentNameSimCallers(t *testing.T) {
 	m := linguistic.NewMatcher(workloads.PaperThesaurus())
 	pairs := [][2]string{

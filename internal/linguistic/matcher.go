@@ -2,7 +2,7 @@ package linguistic
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/matrix"
@@ -62,17 +62,18 @@ func (p Params) Validate() error {
 }
 
 // Matcher performs linguistic matching with one thesaurus and one
-// parameter set. It caches token-pair similarities across calls in a
-// sharded striped-mutex cache, so a Matcher IS safe for concurrent use:
-// Analyze, NameSim(TS), CompatiblePairs and LSim may be called from many
-// goroutines at once (LSim itself fans its inner loops out over a bounded
-// worker pool). The only caveat is setup: do not mutate P or Th while
-// matching is in flight.
+// parameter set. It holds no mutable state: every per-match structure
+// (the token-similarity table of a schema pair, the category pairs, the
+// lsim matrix) is local to the call, so a Matcher is safe for concurrent
+// use — Analyze, NameSim(TS), CompatiblePairs, LSim and BlendDescriptions
+// may be called from many goroutines at once (LSim itself fans its inner
+// loops out over a bounded worker pool). Analysis records thesaurus keys
+// in the SchemaInfo, so neither P nor Th may be changed once schemas have
+// been analyzed with them. SchemaInfos analyzed by one Matcher may be
+// matched by another over the same thesaurus.
 type Matcher struct {
 	Th *thesaurus.Thesaurus
 	P  Params
-
-	simCache *simCache
 }
 
 // NewMatcher returns a matcher over the given thesaurus (nil means an
@@ -81,90 +82,17 @@ func NewMatcher(th *thesaurus.Thesaurus) *Matcher {
 	if th == nil {
 		th = thesaurus.New()
 	}
-	return &Matcher{Th: th, P: DefaultParams(), simCache: newSimCache()}
-}
-
-// simCacheShards is the stripe count of the token-pair similarity cache.
-// Power of two; 64 stripes keep contention negligible at any realistic
-// GOMAXPROCS while costing ~3KB of empty maps.
-const simCacheShards = 64
-
-// simCache is a striped-mutex map from an ordered token pair to its
-// thesaurus similarity. Stripes are selected by FNV-1a hash of the pair,
-// so goroutines computing different pairs rarely share a lock.
-type simCache struct {
-	shards [simCacheShards]simCacheShard
-}
-
-type simCacheShard struct {
-	mu sync.RWMutex
-	m  map[[2]string]float64
-}
-
-func newSimCache() *simCache {
-	c := &simCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[[2]string]float64)
-	}
-	return c
-}
-
-func (c *simCache) shard(key [2]string) *simCacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key[0]); i++ {
-		h = (h ^ uint32(key[0][i])) * 16777619
-	}
-	h = (h ^ 0xff) * 16777619 // separator so ("ab","c") != ("a","bc")
-	for i := 0; i < len(key[1]); i++ {
-		h = (h ^ uint32(key[1][i])) * 16777619
-	}
-	return &c.shards[h&(simCacheShards-1)]
-}
-
-func (c *simCache) get(key [2]string) (float64, bool) {
-	sh := c.shard(key)
-	sh.mu.RLock()
-	s, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return s, ok
-}
-
-func (c *simCache) put(key [2]string, v float64) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	sh.m[key] = v
-	sh.mu.Unlock()
+	return &Matcher{Th: th, P: DefaultParams()}
 }
 
 // tokenSim returns sim(t1, t2) for two tokens of the same type. Content
 // tokens go through the thesaurus (with substring fallback); the other
 // types compare by surface equality — a number matches only the same
-// number, a symbol the same symbol, a concept the same concept.
+// number, a symbol the same symbol, a concept the same concept. The
+// schema-level sweeps read the same values from a simTable.
 func (m *Matcher) tokenSim(a, b Token) float64 {
-	if a.Type != b.Type {
-		return 0
-	}
-	if a.Type != TokenContent {
-		if a.Raw == b.Raw {
-			return 1
-		}
-		return 0
-	}
-	if a.Stem == b.Stem {
-		return 1
-	}
-	key := [2]string{a.Raw, b.Raw}
-	if key[0] > key[1] {
-		key[0], key[1] = key[1], key[0]
-	}
-	if s, ok := m.simCache.get(key); ok {
-		return s
-	}
-	// A concurrent miss on the same pair computes Th.Sim twice; the value
-	// is a pure function of the pair, so last-write-wins is deterministic.
-	s := m.Th.Sim(a.Raw, b.Raw)
-	m.simCache.put(key, s)
-	return s
+	va, vb := newVocabToken(m.Th, a), newVocabToken(m.Th, b)
+	return m.vocabSim(&va, &vb)
 }
 
 // setSim is ns(T1, T2) over two same-type token lists: the average of the
@@ -214,6 +142,12 @@ func (m *Matcher) NameSimTS(ts1, ts2 TokenSet) float64 {
 		num += w * m.setSim(t1, t2) * size
 		den += w * size
 	}
+	return m.finishNameSim(num, den, ts1, ts2)
+}
+
+// finishNameSim divides the weighted per-type sums of a name similarity
+// and applies the acronym floor.
+func (m *Matcher) finishNameSim(num, den float64, ts1, ts2 TokenSet) float64 {
 	if den == 0 {
 		return 0
 	}
@@ -245,7 +179,9 @@ type Category struct {
 }
 
 // SchemaInfo is the result of linguistic analysis of one schema: the
-// normalized token set of every element and the element categories.
+// normalized token set of every element and the element categories. It is
+// immutable once analyzed (the description cache fills once, under a
+// sync.Once) and safe for concurrent use.
 type SchemaInfo struct {
 	Schema *model.Schema
 	// Tokens is indexed by element ID.
@@ -254,11 +190,19 @@ type SchemaInfo struct {
 	Categories []Category
 	// memberCats maps element ID -> indexes into Categories.
 	memberCats [][]int
+	// names interns every element's token set (element id is set id)
+	// followed by the keyword sets of the concept and type categories;
+	// catSet maps a category to its keyword set (a container category's
+	// keywords are its container element's name).
+	names  TokenSets
+	catSet []int
 	// descToks lazily caches the filtered description token set per
 	// element (see Matcher.descTokens); nil entries mean no usable
-	// description.
+	// description. descs interns them by element ID (empty when no
+	// element has one).
 	descOnce sync.Once
 	descToks []*TokenSet
+	descs    TokenSets
 }
 
 // CategoriesOf returns the indexes of the categories the element belongs
@@ -280,15 +224,24 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 		si.Tokens[e.ID()] = Normalize(e.Name, m.Th)
 	}
 	catIndex := map[string]int{}
-	addMember := func(key, display string, keywords TokenSet, id int) {
+	// member adds element id to the category under key, reporting false
+	// when there is no such category yet; newCategory then creates it
+	// (its keyword set and display name are built only then). set is the
+	// element whose name is the keyword set, or -1 for a keyword set of
+	// its own.
+	member := func(key string, id int) bool {
 		idx, ok := catIndex[key]
-		if !ok {
-			idx = len(si.Categories)
-			catIndex[key] = idx
-			si.Categories = append(si.Categories, Category{Name: display, Keywords: keywords})
+		if ok {
+			si.Categories[idx].Members = append(si.Categories[idx].Members, id)
+			si.memberCats[id] = append(si.memberCats[id], idx)
 		}
-		si.Categories[idx].Members = append(si.Categories[idx].Members, id)
-		si.memberCats[id] = append(si.memberCats[id], idx)
+		return ok
+	}
+	newCategory := func(key, display string, keywords TokenSet, set, id int) {
+		catIndex[key] = len(si.Categories)
+		si.Categories = append(si.Categories, Category{Name: display, Keywords: keywords})
+		si.catSet = append(si.catSet, set)
+		member(key, id)
 	}
 	for _, e := range s.Elements() {
 		// Keys and other insignificant names are skipped; RefInts and
@@ -301,19 +254,24 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 		ts := si.Tokens[id]
 		// Concept categories: one per unique concept tag in the schema.
 		for _, tok := range ts.ByType(TokenConcept) {
-			addMember("concept:"+tok.Raw, "concept:"+tok.Raw,
-				TokenSet{Tokens: []Token{{Raw: tok.Raw, Stem: tok.Raw, Type: TokenContent}}}.Partitioned(), id)
+			if key := "concept:" + tok.Raw; !member(key, id) {
+				newCategory(key, key,
+					TokenSet{Tokens: []Token{{Raw: tok.Raw, Stem: tok.Raw, Type: TokenContent}}}.Partitioned(), -1, id)
+			}
 		}
 		// Data-type categories for elements carrying a broad leaf type.
 		if kw := e.Type.CategoryKeyword(); kw != "" {
-			addMember("type:"+kw, "type:"+kw,
-				TokenSet{Tokens: []Token{{Raw: kw, Stem: thesaurus.Stem(kw), Type: TokenContent}}}.Partitioned(), id)
+			if key := "type:" + kw; !member(key, id) {
+				newCategory(key, key,
+					TokenSet{Tokens: []Token{{Raw: kw, Stem: thesaurus.Stem(kw), Type: TokenContent}}}.Partitioned(), -1, id)
+			}
 		}
 		// Container categories: the containment parent groups its children
 		// under its own (normalized) name.
 		if p := e.Parent(); p != nil {
-			key := fmt.Sprintf("container:%d", p.ID())
-			addMember(key, "container:"+p.Path(), si.Tokens[p.ID()], id)
+			if key := "container:" + strconv.Itoa(p.ID()); !member(key, id) {
+				newCategory(key, "container:"+p.Path(), si.Tokens[p.ID()], p.ID(), id)
+			}
 		}
 		// A container is identified by its own keyword too: it belongs to
 		// the category it defines. Two containers are then comparable when
@@ -321,43 +279,56 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 		// (e.g. Item under POLines vs Item under Items), and the root —
 		// which has no parent — still lands in a category of its own.
 		if len(e.Children()) > 0 || len(e.DerivedFrom()) > 0 {
-			key := fmt.Sprintf("container:%d", e.ID())
-			addMember(key, "container:"+e.Path(), ts, id)
+			if key := "container:" + strconv.Itoa(id); !member(key, id) {
+				newCategory(key, "container:"+e.Path(), ts, id, id)
+			}
 		}
 	}
+	sets := make([]TokenSet, len(si.Tokens), len(si.Tokens)+len(si.catSet))
+	copy(sets, si.Tokens)
+	for c, set := range si.catSet {
+		if set < 0 {
+			si.catSet[c] = len(sets)
+			sets = append(sets, si.Categories[c].Keywords)
+		}
+	}
+	si.names = intern(m.Th, sets)
+	si.Tokens = sets[:len(si.Tokens):len(si.Tokens)] // one copy of the element sets
 	return si
 }
 
 // CompatiblePairs computes, for two analyzed schemas, the pairs of
 // categories whose keyword sets are name-similar above Thns, together with
 // the name similarity of the keyword sets (used later to scale lsim).
-//
-// The category-pair sweep is quadratic in the number of categories and
-// each cell is an independent NameSimTS call, so rows fan out over the
-// par worker pool; each worker fills its own row slice and the merge is a
-// deterministic row-order append, making the result identical to the
-// sequential sweep.
 func (m *Matcher) CompatiblePairs(a, b *SchemaInfo) map[[2]int]float64 {
-	na := len(a.Categories)
-	rows := make([][]catPair, na)
-	par.For(na, func(i int) {
-		ka := a.Categories[i].Keywords
+	t := m.newSimTable(&a.names, &b.names)
+	out := make(map[[2]int]float64)
+	for i, row := range m.compatibleRows(&t, a, b) {
+		for _, c := range row {
+			out[[2]int{i, c.j}] = c.ns
+		}
+	}
+	return out
+}
+
+// compatibleRows lists, for every category of a, the compatible
+// categories of b in index order. The category-pair sweep is quadratic in
+// the number of categories, so rows fan out over the par worker pool;
+// each worker fills its own row, making the result identical to the
+// sequential sweep.
+func (m *Matcher) compatibleRows(t *simTable, a, b *SchemaInfo) [][]catPair {
+	rows := make([][]catPair, len(a.Categories))
+	par.For(len(rows), func(i int) {
 		var row []catPair
-		for j, cb := range b.Categories {
-			ns := m.NameSimTS(ka, cb.Keywords)
+		for j := range b.Categories {
+			ns := m.nameSimAt(t, &a.names, a.catSet[i], &b.names, b.catSet[j])
 			if ns >= m.P.Thns {
 				row = append(row, catPair{j: j, ns: ns})
 			}
 		}
 		rows[i] = row
 	})
-	out := make(map[[2]int]float64)
-	for i, row := range rows {
-		for _, c := range row {
-			out[[2]int{i, c.j}] = c.ns
-		}
-	}
-	return out
+	return rows
 }
 
 // catPair is one compatible target category in a source category's row.
@@ -374,45 +345,35 @@ type catPair struct {
 // Similarity is zero for element pairs that share no compatible categories.
 // The result is indexed (elementID of a, elementID of b).
 //
-// The element-pair comparisons — the dominant cost of the whole pipeline —
-// run on the par worker pool: the scale map is reduced sequentially (max
-// is order-independent), then each surviving pair's NameSimTS·scale lands
-// in its own matrix cell, so the parallel result is bit-identical to the
-// sequential one.
+// One token-similarity table of the two schemas' vocabularies serves both
+// the category and the element comparisons. The matrix first receives
+// each element pair's scale (max is order-independent); then the
+// element-pair comparisons — the dominant cost of the whole pipeline — run
+// on the par worker pool, one matrix row per task, replacing every
+// nonzero scale by NameSimTS·scale. The parallel result is therefore
+// bit-identical to the sequential one.
 func (m *Matcher) LSim(a, b *SchemaInfo) matrix.Matrix {
-	compat := m.CompatiblePairs(a, b)
-	lsim := matrix.New(a.Schema.Len(), b.Schema.Len())
-	// Scale per element pair: best compatible category pair.
-	scale := map[[2]int]float64{}
-	// Deterministic iteration over compat.
-	keys := make([][2]int, 0, len(compat))
-	for k := range compat {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		ns := compat[k]
-		for _, ma := range a.Categories[k[0]].Members {
-			for _, mb := range b.Categories[k[1]].Members {
-				p := [2]int{ma, mb}
-				if ns > scale[p] {
-					scale[p] = ns
+	t := m.newSimTable(&a.names, &b.names)
+	lsim := matrix.New(len(a.Tokens), len(b.Tokens))
+	for i, row := range m.compatibleRows(&t, a, b) {
+		for _, c := range row {
+			for _, ma := range a.Categories[i].Members {
+				cells := lsim.Row(ma)
+				for _, mb := range b.Categories[c.j].Members {
+					if c.ns > cells[mb] {
+						cells[mb] = c.ns
+					}
 				}
 			}
 		}
 	}
-	pairs := make([][2]int, 0, len(scale))
-	for p := range scale {
-		pairs = append(pairs, p)
-	}
-	par.For(len(pairs), func(k int) {
-		p := pairs[k]
-		lsim.Set(p[0], p[1], m.NameSimTS(a.Tokens[p[0]], b.Tokens[p[1]])*scale[p])
+	par.For(lsim.Rows(), func(i int) {
+		row := lsim.Row(i)
+		for j, scale := range row {
+			if scale > 0 {
+				row[j] = m.nameSimAt(&t, &a.names, i, &b.names, j) * scale
+			}
+		}
 	})
 	return lsim
 }

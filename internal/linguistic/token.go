@@ -270,7 +270,7 @@ func Normalize(name string, th *thesaurus.Thesaurus) TokenSet {
 		}
 		stem := thesaurus.Stem(word)
 		ts.Tokens = append(ts.Tokens, Token{Raw: word, Stem: stem, Type: TokenContent})
-		if c, ok := th.Concept(word); ok && !seenConcepts[c] {
+		if c, ok := conceptOf(th, word, stem); ok && !seenConcepts[c] {
 			seenConcepts[c] = true
 			ts.Tokens = append(ts.Tokens, Token{Raw: c, Stem: c, Type: TokenConcept})
 		}
@@ -285,4 +285,18 @@ func Normalize(name string, th *thesaurus.Thesaurus) TokenSet {
 		add(w, true)
 	}
 	return ts.Partitioned()
+}
+
+// conceptOf is th.Concept(word) for a word whose Porter stem is stem. The
+// thesaurus looks concepts up by thesaurus.Key, which lower-cases and
+// trims before stemming; for a word with no upper-case letter, space or
+// non-ASCII byte that is the identity, so the key is the stem already
+// computed and the word is not stemmed a second time.
+func conceptOf(th *thesaurus.Thesaurus, word, stem string) (string, bool) {
+	for i := 0; i < len(word); i++ {
+		if c := word[i]; c >= 0x80 || c <= ' ' || ('A' <= c && c <= 'Z') {
+			return th.Concept(word)
+		}
+	}
+	return th.ConceptKey(stem)
 }

@@ -261,8 +261,5 @@ func (r *Registry) executeFamily(ctx context.Context, src *core.Prepared, topK i
 		}
 		return merged[i].Entry.Name < merged[j].Entry.Name
 	})
-	if topK > 0 && topK < len(merged) {
-		merged = merged[:topK]
-	}
-	return merged, st, nil
+	return truncateRanking(merged, topK), st, nil
 }

@@ -359,10 +359,18 @@ func (r *Registry) rank(ctx context.Context, entries []*Entry, src *core.Prepare
 		}
 		return out[i].Entry.Name < out[j].Entry.Name
 	})
-	if topK > 0 && topK < len(out) {
-		out = out[:topK]
+	return truncateRanking(out, topK), nil
+}
+
+// truncateRanking returns the first topK entries of a ranking (all of
+// them for topK <= 0) in a slice of their own: a re-slice would keep
+// every lower-ranked match result, matrices included, reachable from the
+// returned ranking for as long as a caller (the serving cache) holds it.
+func truncateRanking(ranked []Ranked, topK int) []Ranked {
+	if topK <= 0 || topK >= len(ranked) {
+		return ranked
 	}
-	return out, nil
+	return append([]Ranked(nil), ranked[:topK]...)
 }
 
 // PruneOptions sizes the candidate set MatchTop lets through to the full

@@ -204,6 +204,10 @@ func (f *Frontend) matchBatchAdmitted(ctx context.Context, src *core.Prepared, s
 // same cache (and is therefore dropped on Invalidate — a freshness
 // non-issue, only a warm-up cost). The bool reports a cache hit or
 // coalesced join. The returned Result is shared when cached — immutable.
+// It carries the trees, the analyses and the mapping but not the
+// similarity matrices (LSim, Struct, WSim): those of a 400-node pair take
+// megabytes, and the cache would hold up to its capacity of them. Callers
+// that need the matrices call core.Matcher.MatchPrepared directly.
 func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*core.Result, bool, error) {
 	if f.draining.Load() {
 		return nil, false, ErrDraining
@@ -218,7 +222,14 @@ func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*cor
 		}
 		defer release()
 		res, err := f.reg.Matcher().MatchPrepared(src, dst)
-		return res, err == nil, err
+		if err != nil {
+			return nil, false, err
+		}
+		return &core.Result{
+			SourceTree: res.SourceTree, TargetTree: res.TargetTree,
+			SourceInfo: res.SourceInfo, TargetInfo: res.TargetInfo,
+			Mapping: res.Mapping,
+		}, true, nil
 	})
 	if err != nil {
 		return nil, false, err

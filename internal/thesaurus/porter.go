@@ -18,7 +18,12 @@ func Stem(word string) string {
 			return word // digits, symbols, non-ASCII: leave unstemmed
 		}
 	}
-	w := []byte(word)
+	// The steps never lengthen the word, so a short word is stemmed in a
+	// stack buffer, and a stem that is a prefix of the word (the common
+	// case: plain suffix stripping) is returned as a substring of it:
+	// most words stem without allocating.
+	var buf [32]byte
+	w := append(buf[:0], word...)
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
@@ -27,6 +32,9 @@ func Stem(word string) string {
 	w = step4(w)
 	w = step5a(w)
 	w = step5b(w)
+	if len(w) <= len(word) && string(w) == word[:len(w)] {
+		return word[:len(w)]
+	}
 	return string(w)
 }
 
@@ -100,11 +108,12 @@ func endsCVC(w []byte, end int) bool {
 	return true
 }
 
+// hasSuffix reports whether w ends in the (non-empty) suffix s; the last
+// byte is compared first, which rejects most of the rule lists' suffixes
+// without a full comparison.
 func hasSuffix(w []byte, s string) bool {
-	if len(w) < len(s) {
-		return false
-	}
-	return string(w[len(w)-len(s):]) == s
+	n := len(w) - len(s)
+	return n >= 0 && w[len(w)-1] == s[len(s)-1] && string(w[n:]) == s
 }
 
 // replaceSuffix replaces suffix s with r when measure of the stem part

@@ -39,6 +39,10 @@ type Thesaurus struct {
 	abbreviations map[string][]string // lower-case token -> expansion tokens
 	stopwords     map[string]bool     // lower-case tokens ignored in comparison
 	concepts      map[string]string   // stem -> concept name
+	// related holds every key that occurs in a synonym or hypernym entry,
+	// so a caller holding pre-normalized keys can skip the pair lookup
+	// when either word has no entry at all (see Related).
+	related map[string]bool
 }
 
 // New returns an empty thesaurus.
@@ -49,6 +53,7 @@ func New() *Thesaurus {
 		abbreviations: map[string][]string{},
 		stopwords:     map[string]bool{},
 		concepts:      map[string]string{},
+		related:       map[string]bool{},
 	}
 }
 
@@ -64,18 +69,30 @@ func clamp01(x float64) float64 {
 
 func norm(s string) string { return Stem(strings.ToLower(strings.TrimSpace(s))) }
 
+// Key returns the key a word is looked up under: lower-cased, trimmed and
+// stemmed. Lookup(a, b) is LookupKeys(Key(a), Key(b)), so callers that
+// compare the same words many times can normalize each word once.
+func Key(word string) string { return norm(word) }
+
+// addRelation records the keyed pair in the given relation table.
+func (t *Thesaurus) addRelation(rel map[pair]float64, p pair, strength float64) {
+	rel[p] = strength
+	t.related[p.a] = true
+	t.related[p.b] = true
+}
+
 // AddSynonym records that a and b are synonyms with the given strength in
 // [0,1] (values outside are clamped). Both words are stemmed, so inflected
 // forms share the entry. The relation is symmetric.
 func (t *Thesaurus) AddSynonym(a, b string, strength float64) {
-	t.synonyms[mkPair(norm(a), norm(b))] = clamp01(strength)
+	t.addRelation(t.synonyms, mkPair(norm(a), norm(b)), clamp01(strength))
 }
 
 // AddHypernym records that hyper is a hypernym of hypo (Person of Customer)
 // with the given strength. Lookup is symmetric: the paper treats hypernymy
 // as evidence of similarity regardless of direction.
 func (t *Thesaurus) AddHypernym(hypo, hyper string, strength float64) {
-	t.hypernyms[mkPair(norm(hypo), norm(hyper))] = clamp01(strength)
+	t.addRelation(t.hypernyms, mkPair(norm(hypo), norm(hyper)), clamp01(strength))
 }
 
 // AddAbbreviation records that token abbr expands to the given words, e.g.
@@ -115,7 +132,12 @@ func (t *Thesaurus) IsStopword(token string) bool {
 
 // Concept returns the concept a word is tagged with, if any.
 func (t *Thesaurus) Concept(word string) (string, bool) {
-	c, ok := t.concepts[norm(word)]
+	return t.ConceptKey(norm(word))
+}
+
+// ConceptKey is Concept over a word already normalized with Key.
+func (t *Thesaurus) ConceptKey(key string) (string, bool) {
+	c, ok := t.concepts[key]
 	return c, ok
 }
 
@@ -123,11 +145,15 @@ func (t *Thesaurus) Concept(word string) (string, bool) {
 // stems, otherwise the synonym entry, otherwise the hypernym entry,
 // otherwise (0, false).
 func (t *Thesaurus) Lookup(a, b string) (float64, bool) {
-	sa, sb := norm(a), norm(b)
-	if sa == sb && sa != "" {
+	return t.LookupKeys(norm(a), norm(b))
+}
+
+// LookupKeys is Lookup over two keys already normalized with Key.
+func (t *Thesaurus) LookupKeys(ka, kb string) (float64, bool) {
+	if ka == kb && ka != "" {
 		return 1, true
 	}
-	p := mkPair(sa, sb)
+	p := mkPair(ka, kb)
 	if s, ok := t.synonyms[p]; ok {
 		return s, true
 	}
@@ -136,6 +162,11 @@ func (t *Thesaurus) Lookup(a, b string) (float64, bool) {
 	}
 	return 0, false
 }
+
+// Related reports whether the key (see Key) occurs in any synonym or
+// hypernym entry. When either of two distinct keys is unrelated,
+// LookupKeys finds no entry for the pair.
+func (t *Thesaurus) Related(key string) bool { return t.related[key] }
 
 // Sim returns the similarity of two name tokens (paper §5.2, "Name
 // Similarity"): the thesaurus strength when an entry exists, otherwise the
@@ -186,10 +217,10 @@ func SubstringSim(a, b string) float64 {
 // callers layer a domain-specific thesaurus over the base one.
 func (t *Thesaurus) Merge(other *Thesaurus) {
 	for p, s := range other.synonyms {
-		t.synonyms[p] = s
+		t.addRelation(t.synonyms, p, s)
 	}
 	for p, s := range other.hypernyms {
-		t.hypernyms[p] = s
+		t.addRelation(t.hypernyms, p, s)
 	}
 	for a, exp := range other.abbreviations {
 		t.abbreviations[a] = append([]string(nil), exp...)

@@ -130,6 +130,18 @@ func TestLookupSynonymAndHypernym(t *testing.T) {
 	if _, ok := th.Lookup("apple", "carburetor"); ok {
 		t.Error("unrelated words should have no entry")
 	}
+	// The keyed forms: every word of an entry is related, under its key.
+	if s, ok := th.LookupKeys(Key("Billing"), Key("Invoices")); !ok || s != 1.0 {
+		t.Errorf("LookupKeys(Key(Billing),Key(Invoices)) = %v,%v", s, ok)
+	}
+	for _, w := range []string{"invoice", "Bills", "customers", "person"} {
+		if !th.Related(Key(w)) {
+			t.Errorf("Related(Key(%q)) = false, want true", w)
+		}
+	}
+	if th.Related(Key("apple")) {
+		t.Error("Related(Key(apple)) = true for a word with no entry")
+	}
 }
 
 func TestStrengthClamped(t *testing.T) {
@@ -271,6 +283,12 @@ func TestMerge(t *testing.T) {
 	if s, ok := base.Lookup("cat", "animal"); !ok || s != 0.8 {
 		t.Errorf("merge lost hypernym: %v,%v", s, ok)
 	}
+	if !base.Related(Key("cat")) || !base.Related(Key("animal")) {
+		t.Error("merge lost the relation bits of the hypernym's words")
+	}
+	if c, ok := base.ConceptKey(Key("dollars")); !ok || c != "money" {
+		t.Error("ConceptKey misses the merged concept")
+	}
 }
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -303,6 +321,9 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if c, ok := got.Concept("price"); !ok || c != "money" {
 		t.Error("round-trip lost concept")
+	}
+	if !got.Related(Key("bill")) || !got.Related(Key("person")) {
+		t.Error("round-trip lost relation bits")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/linguistic"
 	"repro/internal/matrix"
+	"repro/internal/model"
 	"repro/internal/par"
 	"repro/internal/schematree"
 	"repro/internal/structural"
@@ -114,24 +115,38 @@ func BenchmarkNameSimTS(b *testing.B) {
 	lm := linguistic.NewMatcher(workloads.PaperThesaurus())
 	ts1 := linguistic.Normalize("PurchaseOrderLines", lm.Th)
 	ts2 := linguistic.Normalize("OrderItems", lm.Th)
-	lm.NameSimTS(ts1, ts2) // warm the token-sim cache
-	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		lm.NameSimTS(ts1, ts2)
 	}
 }
 
-func BenchmarkLSimWarm(b *testing.B) {
-	w := workloads.CIDXExcel()
-	lm := linguistic.NewMatcher(workloads.PaperThesaurus())
-	a := lm.Analyze(w.Source)
-	c := lm.Analyze(w.Target)
-	lm.LSim(a, c) // warm the token-sim cache
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		lm.LSim(a, c)
+// BenchmarkLSim times the linguistic phase on the two shapes that
+// dominate the repository benchmark: a registry-shaped pair (a FamilyProbe
+// against one FamilyCorpus member, as in every /match/batch candidate
+// match) and the 8×50×2 synthetic pair of its pair workload (417 elements
+// a side). Both schemas are analyzed once, as a prepared artifact is.
+func BenchmarkLSim(b *testing.B) {
+	corpus := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{Families: 1, PerFamily: 2, Seed: 1})
+	pair := workloads.Synthetic(workloads.SyntheticSpec{
+		Tables: 8, ColsPerTable: 50, Depth: 2, Seed: 1, Rename: 0.3, Renest: 0.2,
+	})
+	for _, c := range []struct {
+		name     string
+		src, dst *model.Schema
+	}{
+		{"registry", workloads.FamilyProbe(0, 1), corpus[1]},
+		{"pair8x50x2", pair.Source, pair.Target},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			lm := linguistic.NewMatcher(thesaurus.Base())
+			a, t := lm.Analyze(c.src), lm.Analyze(c.dst)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lm.LSim(a, t)
+			}
+		})
 	}
 }
 
@@ -166,11 +181,14 @@ func allocFixture(tb testing.TB) (lm *linguistic.Matcher, a, c *linguistic.Schem
 }
 
 // TestAllocRegressions pins the allocation behaviour of the hot paths on a
-// mid-size synthetic schema. Bounds carry ~2x headroom over the measured
-// values (0, 68, 75 at the time of writing), so incidental churn passes
-// but reintroducing a per-call or per-row allocation (e.g. ByType
-// re-filtering, [][]float64 row allocation) fails loudly. Runs with one
-// worker so the goroutine machinery of the parallel path is not counted.
+// mid-size synthetic schema. NameSimTS must not allocate and LSim is held
+// at its measured count (34: the matrix, the token-similarity table and
+// the compatible-category rows), so any per-pair or per-row allocation
+// fails. TreeMatch's bound carries ~2x headroom over its measured 75, so
+// incidental churn passes but reintroducing a per-call or per-row
+// allocation (e.g. [][]float64 row allocation) fails loudly. Runs with
+// one worker so the goroutine machinery of the parallel path is not
+// counted.
 func TestAllocRegressions(t *testing.T) {
 	prev := par.SetMaxWorkers(1)
 	defer par.SetMaxWorkers(prev)
@@ -178,13 +196,12 @@ func TestAllocRegressions(t *testing.T) {
 
 	ts1 := linguistic.Normalize("PurchaseOrderLines", lm.Th)
 	ts2 := linguistic.Normalize("OrderItems", lm.Th)
-	lm.NameSimTS(ts1, ts2) // warm the cache: steady-state is what we pin
 	if got := testing.AllocsPerRun(200, func() { lm.NameSimTS(ts1, ts2) }); got > 0 {
-		t.Errorf("NameSimTS allocates %.1f objects/op on warm cache, want 0", got)
+		t.Errorf("NameSimTS allocates %.1f objects/op, want 0", got)
 	}
 
-	if got := testing.AllocsPerRun(10, func() { lm.LSim(a, c) }); got > 150 {
-		t.Errorf("LSim allocates %.1f objects/op, want <= 150", got)
+	if got := testing.AllocsPerRun(10, func() { lm.LSim(a, c) }); got > 34 {
+		t.Errorf("LSim allocates %.1f objects/op, want <= 34", got)
 	}
 
 	p := structural.DefaultParams()
