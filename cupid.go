@@ -49,7 +49,12 @@
 //
 // Concurrency contract: a Matcher (and the package-level Match) is safe
 // for concurrent use — all per-match state, the token-similarity table
-// included, is call-local, and nothing is shared between matches.
+// included, is call-local, and nothing is shared between matches (the
+// kernels' working storage is pooled and reused, never shared). A match
+// fans its loops out over one process-wide worker budget (internal/par):
+// a lone match uses every core, while matches run from inside another
+// parallel loop — a repository's candidate scoring — run sequentially on
+// the goroutine that scores them.
 // Configure first, then share: analysis records thesaurus keys in each
 // prepared schema, so Config, Params and the Thesaurus must not be changed
 // once schemas have been prepared or matched with them.

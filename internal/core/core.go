@@ -132,11 +132,14 @@ type Result struct {
 // Matcher runs the Cupid pipeline for one configuration. A Matcher may be
 // reused across schema pairs and is safe for concurrent Match calls: all
 // per-match state, including the linguistic phase's token-similarity
-// table, is local to the call. Match itself fans the quadratic phases out
-// over a bounded worker pool (see internal/par), so even a single call
-// uses the available cores. Prepare records thesaurus keys in each
-// artifact, so the configured thesaurus must not be changed once schemas
-// have been prepared with it.
+// table, is local to the call, and its storage comes from pools that no
+// two calls use at once. Match fans the quadratic phases out over the
+// process-wide worker budget (see internal/par): a single call uses the
+// available cores, while a match called from a parallel loop's body
+// (the registry's candidate scoring) finds the budget taken and runs
+// sequentially, starting no goroutines. Prepare records thesaurus keys in
+// each artifact, so the configured thesaurus must not be changed once
+// schemas have been prepared with it.
 type Matcher struct {
 	cfg  Config
 	ling *linguistic.Matcher

@@ -97,6 +97,7 @@ func (m *Matcher) BlendDescriptions(a, b *SchemaInfo, lsim matrix.Matrix, weight
 		return // one side has no descriptions: nothing blends
 	}
 	t := m.newSimTable(&a.descs, &b.descs)
+	defer t.release()
 	// Rows are independent (each writes its own matrix row), so the pair
 	// loop fans out over the worker pool.
 	par.For(len(descA), func(i int) {
@@ -108,7 +109,7 @@ func (m *Matcher) BlendDescriptions(a, b *SchemaInfo, lsim matrix.Matrix, weight
 			if descB[j] == nil {
 				continue
 			}
-			ds := m.nameSimAt(&t, &a.descs, i, &b.descs, j)
+			ds := m.nameSimAt(t, &a.descs, i, &b.descs, j)
 			row[j] = (1-weight)*row[j] + weight*ds
 		}
 	})

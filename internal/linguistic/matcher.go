@@ -302,8 +302,9 @@ func (m *Matcher) Analyze(s *model.Schema) *SchemaInfo {
 // the name similarity of the keyword sets (used later to scale lsim).
 func (m *Matcher) CompatiblePairs(a, b *SchemaInfo) map[[2]int]float64 {
 	t := m.newSimTable(&a.names, &b.names)
+	defer t.release()
 	out := make(map[[2]int]float64)
-	for i, row := range m.compatibleRows(&t, a, b) {
+	for i, row := range m.compatibleRows(t, a, b) {
 		for _, c := range row {
 			out[[2]int{i, c.j}] = c.ns
 		}
@@ -312,14 +313,19 @@ func (m *Matcher) CompatiblePairs(a, b *SchemaInfo) map[[2]int]float64 {
 }
 
 // compatibleRows lists, for every category of a, the compatible
-// categories of b in index order. The category-pair sweep is quadratic in
-// the number of categories, so rows fan out over the par worker pool;
-// each worker fills its own row, making the result identical to the
-// sequential sweep.
+// categories of b in index order, in storage owned by t (valid until t is
+// released). The category-pair sweep is quadratic in the number of
+// categories, so rows fan out over the par worker pool; each worker fills
+// its own row, making the result identical to the sequential sweep.
 func (m *Matcher) compatibleRows(t *simTable, a, b *SchemaInfo) [][]catPair {
-	rows := make([][]catPair, len(a.Categories))
-	par.For(len(rows), func(i int) {
-		var row []catPair
+	n := len(a.Categories)
+	if cap(t.rows) < n {
+		// Keep the rows' arrays, so that their capacity is reused too.
+		t.rows = append(t.rows[:cap(t.rows)], make([][]catPair, n-cap(t.rows))...)
+	}
+	rows := t.rows[:n]
+	par.For(n, func(i int) {
+		row := rows[i][:0]
 		for j := range b.Categories {
 			ns := m.nameSimAt(t, &a.names, a.catSet[i], &b.names, b.catSet[j])
 			if ns >= m.P.Thns {
@@ -354,8 +360,9 @@ type catPair struct {
 // bit-identical to the sequential one.
 func (m *Matcher) LSim(a, b *SchemaInfo) matrix.Matrix {
 	t := m.newSimTable(&a.names, &b.names)
+	defer t.release()
 	lsim := matrix.New(len(a.Tokens), len(b.Tokens))
-	for i, row := range m.compatibleRows(&t, a, b) {
+	for i, row := range m.compatibleRows(t, a, b) {
 		for _, c := range row {
 			for _, ma := range a.Categories[i].Members {
 				cells := lsim.Row(ma)
@@ -371,7 +378,7 @@ func (m *Matcher) LSim(a, b *SchemaInfo) matrix.Matrix {
 		row := lsim.Row(i)
 		for j, scale := range row {
 			if scale > 0 {
-				row[j] = m.nameSimAt(&t, &a.names, i, &b.names, j) * scale
+				row[j] = m.nameSimAt(t, &a.names, i, &b.names, j) * scale
 			}
 		}
 	})

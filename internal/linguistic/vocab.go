@@ -2,6 +2,7 @@ package linguistic
 
 import (
 	"strings"
+	"sync"
 
 	"repro/internal/matrix"
 	"repro/internal/par"
@@ -15,9 +16,10 @@ import (
 // vocabulary (TokenSets), and each match first fills one dense
 // |Va|×|Vb| table of token similarities: every distinct token pair is
 // scored exactly once, and the sweeps then read the table by index. The
-// table lives for one call, so all per-match state is call-local: nothing
+// table belongs to one call, so all per-match state is call-local: nothing
 // is shared between goroutines or calls, and nothing grows with the
-// number of matches.
+// number of matches. Only its storage outlives the call, in a pool that
+// the next call draws from.
 
 // vocabToken is one distinct token of a vocabulary, with the thesaurus
 // key, its relation bit and the substring operand precomputed, so that
@@ -83,16 +85,15 @@ func intern(th *thesaurus.Thesaurus, sets []TokenSet) TokenSets {
 	}
 	out := TokenSets{sets: sets, ids: make([]idSet, len(sets))}
 	buf := make([]uint32, 0, total)
-	index := make(map[Token]uint32)
+	index := make(map[Token]uint32, total) // total bounds the distinct count
 	for i, s := range sets {
 		start := len(buf)
 		for tt := TokenType(0); tt < NumTokenTypes; tt++ {
 			for _, t := range s.ByType(tt) {
 				id, ok := index[t]
 				if !ok {
-					id = uint32(len(out.vocab))
+					id = uint32(len(index))
 					index[t] = id
-					out.vocab = append(out.vocab, newVocabToken(th, t))
 				}
 				buf = append(buf, id)
 			}
@@ -100,19 +101,40 @@ func intern(th *thesaurus.Thesaurus, sets []TokenSet) TokenSets {
 		}
 		out.ids[i].ids = buf[start:len(buf):len(buf)]
 	}
+	// Allocated once at its exact size, now that the index has counted the
+	// distinct tokens: an appended vocabulary's growth cost more than the
+	// vocabulary itself.
+	out.vocab = make([]vocabToken, len(index))
+	for t, id := range index {
+		out.vocab[id] = newVocabToken(th, t)
+	}
 	return out
 }
 
 // simTable is the dense token-similarity table of one pair of
-// vocabularies: cells[i*cols+j] = sim(a.vocab[i], b.vocab[j]).
+// vocabularies: cells[i*cols+j] = sim(a.vocab[i], b.vocab[j]). Together
+// with the compatible-category rows it is all the working storage of one
+// comparison, and it comes from a pool: every call takes a table with
+// newSimTable and releases it before returning, so that a call allocates
+// only what it returns.
 type simTable struct {
 	cols  int
 	cells []float64
+	rows  [][]catPair // compatibleRows' storage
 }
 
-// newSimTable scores every token pair of the two vocabularies once.
-func (m *Matcher) newSimTable(a, b *TokenSets) simTable {
-	t := simTable{cols: len(b.vocab), cells: make([]float64, len(a.vocab)*len(b.vocab))}
+var simTables = sync.Pool{New: func() any { return new(simTable) }}
+
+// newSimTable takes a table from the pool and scores every token pair of
+// the two vocabularies into it once.
+func (m *Matcher) newSimTable(a, b *TokenSets) *simTable {
+	t := simTables.Get().(*simTable)
+	t.cols = len(b.vocab)
+	if n := len(a.vocab) * len(b.vocab); cap(t.cells) >= n {
+		t.cells = t.cells[:n] // every cell is written below
+	} else {
+		t.cells = make([]float64, n)
+	}
 	for i := range a.vocab {
 		x := &a.vocab[i]
 		row := t.cells[i*t.cols : (i+1)*t.cols]
@@ -122,6 +144,10 @@ func (m *Matcher) newSimTable(a, b *TokenSets) simTable {
 	}
 	return t
 }
+
+// release returns the table to the pool; the caller must not use it
+// afterwards.
+func (t *simTable) release() { simTables.Put(t) }
 
 // vocabSim is the token similarity of §5.2 over precomputed vocabulary
 // tokens: the value of thesaurus.Sim on the raw words for content tokens
@@ -200,11 +226,12 @@ func (m *Matcher) nameSimAt(t *simTable, a *TokenSets, i int, b *TokenSets, j in
 // the worker count.
 func (m *Matcher) NameSimMatrix(a, b *TokenSets) matrix.Matrix {
 	t := m.newSimTable(a, b)
+	defer t.release()
 	out := matrix.New(a.Len(), b.Len())
 	par.For(a.Len(), func(i int) {
 		row := out.Row(i)
 		for j := range row {
-			row[j] = m.nameSimAt(&t, a, i, b, j)
+			row[j] = m.nameSimAt(t, a, i, b, j)
 		}
 	})
 	return out

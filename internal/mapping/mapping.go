@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/matrix"
 	"repro/internal/schematree"
@@ -120,20 +121,40 @@ func DefaultOptions() Options {
 
 // Generate produces a mapping from TreeMatch results.
 func Generate(ts, tt *schematree.Tree, res *structural.Result, lsim matrix.Matrix, opt Options) *Mapping {
+	sc := scratches.Get().(*scratch)
+	defer sc.release()
 	m := &Mapping{SourceSchema: ts.Schema.Name, TargetSchema: tt.Schema.Name}
 	switch opt.Cardinality {
 	case OneToOne:
-		m.Leaves = generateOneToOne(ts, tt, res, lsim, opt, true)
+		m.Leaves = generateOneToOne(sc, ts, tt, res, lsim, opt, true)
 		if opt.NonLeaves {
-			m.NonLeaves = generateOneToOne(ts, tt, res, lsim, opt, false)
+			m.NonLeaves = generateOneToOne(sc, ts, tt, res, lsim, opt, false)
 		}
 	default:
-		m.Leaves = generateOneToN(ts, tt, res, lsim, opt, true)
+		m.Leaves = generateOneToN(sc, ts, tt, res, lsim, opt, true)
 		if opt.NonLeaves {
-			m.NonLeaves = generateOneToN(ts, tt, res, lsim, opt, false)
+			m.NonLeaves = generateOneToN(sc, ts, tt, res, lsim, opt, false)
 		}
 	}
 	return m
+}
+
+// scratch is one Generate call's working storage: the margin table and
+// the elements being collected. It is pooled, so that a call allocates
+// only the Mapping it returns.
+type scratch struct {
+	be  bestElsewhere
+	out []Element
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// release drops the collected elements' node references and returns the
+// scratch to the pool.
+func (sc *scratch) release() {
+	clear(sc.out[:cap(sc.out)])
+	sc.out = sc.out[:0]
+	scratches.Put(sc)
 }
 
 func eligible(n *schematree.Node, leaves bool, opt Options) bool {
@@ -172,12 +193,13 @@ type bestElsewhere struct {
 	argmax []int
 }
 
-func computeBestElsewhere(ts, tt *schematree.Tree, res *structural.Result, opt Options, leaves bool) bestElsewhere {
+func computeBestElsewhere(sc *scratch, ts, tt *schematree.Tree, res *structural.Result, opt Options, leaves bool) bestElsewhere {
 	be := bestElsewhere{
-		max:    make([]float64, ts.Len()),
-		second: make([]float64, ts.Len()),
-		argmax: make([]int, ts.Len()),
+		max:    resize(sc.be.max, ts.Len()),
+		second: resize(sc.be.second, ts.Len()),
+		argmax: resize(sc.be.argmax, ts.Len()),
 	}
+	sc.be = be
 	for i := range be.argmax {
 		be.argmax[i] = -1
 	}
@@ -203,6 +225,17 @@ func computeBestElsewhere(ts, tt *schematree.Tree, res *structural.Result, opt O
 	return be
 }
 
+// resize returns s with length n and every element zero, reusing its
+// array when large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // other returns the source's best wsim over targets other than t.
 func (be bestElsewhere) other(s, t int) float64 {
 	if be.argmax[s] == t {
@@ -214,9 +247,9 @@ func (be bestElsewhere) other(s, t int) float64 {
 // generateOneToN implements the paper's naive scheme: for each target node
 // the best acceptable source node (ties broken by parent context, then by
 // the margin rule, then post-order index).
-func generateOneToN(ts, tt *schematree.Tree, res *structural.Result, lsim matrix.Matrix, opt Options, leaves bool) []Element {
-	be := computeBestElsewhere(ts, tt, res, opt, leaves)
-	var out []Element
+func generateOneToN(sc *scratch, ts, tt *schematree.Tree, res *structural.Result, lsim matrix.Matrix, opt Options, leaves bool) []Element {
+	be := computeBestElsewhere(sc, ts, tt, res, opt, leaves)
+	sc.out = sc.out[:0]
 	for _, t := range tt.Nodes {
 		if !eligible(t, leaves, opt) {
 			continue
@@ -245,7 +278,7 @@ func generateOneToN(ts, tt *schematree.Tree, res *structural.Result, lsim matrix
 			}
 		}
 		if best >= 0 {
-			out = append(out, Element{
+			sc.out = append(sc.out, Element{
 				Source: ts.Nodes[best],
 				Target: t,
 				WSim:   bestW,
@@ -254,14 +287,14 @@ func generateOneToN(ts, tt *schematree.Tree, res *structural.Result, lsim matrix
 			})
 		}
 	}
-	return out
+	return append([]Element(nil), sc.out...) // exact size; nil when empty
 }
 
 // generateOneToOne greedily picks the globally best acceptable pairs,
 // consuming each source and target at most once. Ties break on post-order
 // indexes for determinism.
-func generateOneToOne(ts, tt *schematree.Tree, res *structural.Result, lsim matrix.Matrix, opt Options, leaves bool) []Element {
-	be := computeBestElsewhere(ts, tt, res, opt, leaves)
+func generateOneToOne(sc *scratch, ts, tt *schematree.Tree, res *structural.Result, lsim matrix.Matrix, opt Options, leaves bool) []Element {
+	be := computeBestElsewhere(sc, ts, tt, res, opt, leaves)
 	type cand struct {
 		s, t  int
 		w     float64

@@ -55,6 +55,9 @@ func TestForCtxStopsMidLoop(t *testing.T) {
 	if got := ran.Load(); got >= 100000 {
 		t.Errorf("ForCtx ran all %d iterations despite mid-loop cancellation", got)
 	}
+	if got := helpers.Load(); got != 0 {
+		t.Errorf("%d helpers still borrowed after a canceled loop returned", got)
+	}
 }
 
 func TestForCtxNilAndBackgroundFastPath(t *testing.T) {

@@ -1,6 +1,7 @@
 // Package par provides the bounded worker pool used to data-parallelize
 // Cupid's quadratic phases (category-pair name similarity, element-pair
-// lsim, the leaf-leaf initialization and refresh sweeps of TreeMatch).
+// lsim, the leaf-leaf initialization and refresh sweeps of TreeMatch) and
+// the repository's candidate-scoring loops.
 //
 // All parallel loops in this repository go through For, so a single knob —
 // SetMaxWorkers — switches the whole pipeline between sequential and
@@ -9,11 +10,16 @@
 // writes only cells owned by its index, so results are bit-identical to
 // the sequential order regardless of scheduling.
 //
-// The worker bound is per-For-call, not global: each call spawns its own
-// (short-lived) goroutine set, so k concurrent top-level Match calls can
-// run up to k×Workers() goroutines at once. The Go scheduler still
-// multiplexes them onto GOMAXPROCS OS threads; callers that need a hard
-// global CPU bound should gate their own Match concurrency.
+// The worker bound is global, not per call. The caller of For always
+// works its own loop; on top of that a loop borrows helper goroutines
+// from one process-wide budget of Workers()-1 helpers, shared by every
+// loop in the process. A loop that finds no helper free runs inline on
+// its caller. So a loop nested inside another loop's body (the per-match
+// kernels inside a repository's candidate loop) runs sequentially while
+// the outer loop keeps the cores busy, and a single top-level match still
+// fans out. Goroutines running loop bodies never exceed Workers() for one
+// top-level call, however deeply its loops nest; k concurrent top-level
+// callers add at most k-1 to that, because each works its own loop.
 package par
 
 import (
@@ -23,8 +29,9 @@ import (
 	"sync/atomic"
 )
 
-// maxWorkers caps the number of goroutines For may use. 0 (the default)
-// means runtime.GOMAXPROCS(0).
+// maxWorkers caps the number of goroutines that run loop bodies: every
+// caller plus the helpers they share. 0 (the default) means
+// runtime.GOMAXPROCS(0).
 var maxWorkers atomic.Int64
 
 // SetMaxWorkers caps the worker count for subsequent For calls; n <= 0
@@ -36,7 +43,8 @@ func SetMaxWorkers(n int) int {
 	return prev
 }
 
-// Workers reports how many workers For would use for a large loop.
+// Workers reports how many goroutines a large loop runs on when nothing
+// else holds the helper budget: its caller plus Workers()-1 helpers.
 func Workers() int {
 	if n := int(maxWorkers.Load()); n > 0 {
 		return n
@@ -48,11 +56,12 @@ func Workers() int {
 // goroutine startup costs more than the work it would offload.
 const seqThreshold = 4
 
-// For runs fn(i) for every i in [0, n), using up to Workers() goroutines.
-// Iterations are handed out in contiguous chunks via an atomic cursor, so
-// scheduling is work-stealing-ish without per-index channel traffic. fn
-// must be safe to call concurrently for distinct indexes; For returns only
-// after every iteration completed.
+// For runs fn(i) for every i in [0, n) on the caller and on as many of
+// the Workers()-1 process-wide helpers as are free (none: the loop runs
+// inline, in index order). Iterations are handed out in contiguous chunks
+// via an atomic cursor, so scheduling is work-stealing-ish without
+// per-index channel traffic. fn must be safe to call concurrently for
+// distinct indexes; For returns only after every iteration completed.
 func For(n int, fn func(i int)) {
 	forCancel(n, nil, fn)
 }
@@ -76,51 +85,88 @@ func ForCtx(ctx context.Context, n int, fn func(i int)) error {
 	return ctx.Err()
 }
 
+// helpers counts the helper goroutines currently borrowed by loops,
+// process-wide; borrow keeps it at most Workers()-1.
+var helpers atomic.Int64
+
+// borrow takes up to want helpers from the process-wide budget and
+// returns how many it got (0 when every helper is busy).
+func borrow(want int) int {
+	limit := int64(Workers() - 1)
+	for {
+		cur := helpers.Load()
+		k := min(int64(want), limit-cur)
+		if k <= 0 {
+			return 0
+		}
+		if helpers.CompareAndSwap(cur, cur+k) {
+			return int(k)
+		}
+	}
+}
+
 // forCancel is the shared loop body: canceled (nil = never) is consulted
 // before each iteration.
 func forCancel(n int, canceled func() error, fn func(i int)) {
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 || n < seqThreshold {
-		for i := 0; i < n; i++ {
-			if canceled != nil && canceled() != nil {
-				return
-			}
-			fn(i)
+	if w := min(Workers(), n); w > 1 && n >= seqThreshold {
+		if k := borrow(w - 1); k > 0 {
+			forHelped(n, k, canceled, fn)
+			return
 		}
-		return
 	}
+	for i := 0; i < n; i++ {
+		if canceled != nil && canceled() != nil {
+			return
+		}
+		fn(i)
+	}
+}
+
+// forHelped runs the loop on the caller plus k borrowed helpers. Each
+// helper returns its budget as soon as it runs out of work, so another
+// loop can borrow it while this one finishes.
+func forHelped(n, k int, canceled func() error, fn func(i int)) {
 	// Chunks small enough to balance uneven iteration costs, large enough
 	// to amortize the atomic increment.
-	chunk := n / (w * 4)
-	if chunk < 1 {
-		chunk = 1
+	l := &loop{n: n, chunk: max(n/((k+1)*4), 1), canceled: canceled, fn: fn}
+	l.wg.Add(k)
+	for g := 0; g < k; g++ {
+		go l.help()
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				end := int(cursor.Add(int64(chunk)))
-				start := end - chunk
-				if start >= n {
-					return
-				}
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					if canceled != nil && canceled() != nil {
-						return
-					}
-					fn(i)
-				}
+	// Even if fn panics on the caller, no helper outlives the call.
+	defer l.wg.Wait()
+	l.work()
+}
+
+// loop is the state one parallel loop shares among its goroutines.
+type loop struct {
+	n, chunk int
+	canceled func() error
+	fn       func(i int)
+	cursor   atomic.Int64
+	wg       sync.WaitGroup
+}
+
+func (l *loop) help() {
+	defer l.wg.Done()
+	defer helpers.Add(-1)
+	l.work()
+}
+
+// work runs chunks of iterations until none is left or the loop is
+// canceled.
+func (l *loop) work() {
+	for {
+		end := int(l.cursor.Add(int64(l.chunk)))
+		start := end - l.chunk
+		if start >= l.n {
+			return
+		}
+		for i := start; i < min(end, l.n); i++ {
+			if l.canceled != nil && l.canceled() != nil {
+				return
 			}
-		}()
+			l.fn(i)
+		}
 	}
-	wg.Wait()
 }

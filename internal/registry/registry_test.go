@@ -132,8 +132,9 @@ func matchAllWorkers(t *testing.T, r *Registry, src *model.Schema, workers, topK
 	return ranked
 }
 
-// TestMatchAllDeterministic: the ranking must be identical with one worker
-// and many (run with -race; the ISSUE acceptance criterion).
+// TestMatchAllDeterministic: the ranking must be identical with one
+// worker, with many, with the default count, and for each of two callers
+// ranking at once over the shared worker budget (run with -race).
 func TestMatchAllDeterministic(t *testing.T) {
 	r := newTestRegistry(t)
 	for _, s := range repoSchemas(8) {
@@ -146,17 +147,37 @@ func TestMatchAllDeterministic(t *testing.T) {
 	}).Source
 
 	seq := matchAllWorkers(t, r, probe, 1, 0)
-	par8 := matchAllWorkers(t, r, probe, 8, 0)
-	if len(seq) != 8 || len(par8) != 8 {
-		t.Fatalf("rankings cover %d/%d entries, want 8", len(seq), len(par8))
+	runs := map[string][]Ranked{
+		"8 workers":       matchAllWorkers(t, r, probe, 8, 0),
+		"default workers": matchAllWorkers(t, r, probe, 0, 0),
 	}
-	for i := range seq {
-		if seq[i].Entry.Name != par8[i].Entry.Name || seq[i].Score != par8[i].Score {
-			t.Fatalf("rank %d differs: seq %s %.6f vs par %s %.6f",
-				i, seq[i].Entry.Name, seq[i].Score, par8[i].Entry.Name, par8[i].Score)
+	var wg sync.WaitGroup
+	concurrent := make([][]Ranked, 2)
+	for c := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ranked, err := r.MatchAllSchema(probe, 0)
+			if err != nil {
+				t.Error(err)
+			}
+			concurrent[c] = ranked
+		}()
+	}
+	wg.Wait()
+	runs["concurrent caller 1"], runs["concurrent caller 2"] = concurrent[0], concurrent[1]
+	for name, got := range runs {
+		if len(seq) != 8 || len(got) != 8 {
+			t.Fatalf("%s: rankings cover %d/%d entries, want 8", name, len(seq), len(got))
 		}
-		if !seq[i].Result.WSim.Equal(par8[i].Result.WSim) {
-			t.Fatalf("rank %d: wsim differs between worker counts", i)
+		for i := range seq {
+			if seq[i].Entry.Name != got[i].Entry.Name || seq[i].Score != got[i].Score {
+				t.Fatalf("%s: rank %d differs: seq %s %.6f vs %s %.6f",
+					name, i, seq[i].Entry.Name, seq[i].Score, got[i].Entry.Name, got[i].Score)
+			}
+			if !seq[i].Result.WSim.Equal(got[i].Result.WSim) {
+				t.Fatalf("%s: rank %d: wsim differs from one worker", name, i)
+			}
 		}
 	}
 	for i := 1; i < len(seq); i++ {

@@ -127,7 +127,9 @@ type MatchSpec struct {
 // recorded on cached entries too, so a cache hit reports the plan of the
 // computation it shares. Cached reports the ranking came from the cache
 // or a coalesced flight rather than a fresh computation. Ranked is
-// shared when Cached — treat it as immutable.
+// shared when Cached — treat it as immutable. Its match results carry the
+// trees, the analyses and the mapping but not the similarity matrices
+// (see MatchPair); callers that need those use registry.Match.
 type Result struct {
 	// Ranked is the scored ranking.
 	Ranked []registry.Ranked
@@ -155,6 +157,9 @@ func (f *Frontend) MatchBatch(ctx context.Context, src *core.Prepared, spec Matc
 		res, err := f.matchBatchAdmitted(ctx, src, spec)
 		if err != nil {
 			return nil, false, err
+		}
+		for i := range res.Ranked { // the registry's fresh slice, ours to edit
+			res.Ranked[i].Result = withoutMatrices(res.Ranked[i].Result)
 		}
 		// Degraded rankings ran under a shrunken budget; caching one would
 		// serve it to un-saturated callers that are owed the full budget.
@@ -225,16 +230,23 @@ func (f *Frontend) MatchPair(ctx context.Context, src, dst *core.Prepared) (*cor
 		if err != nil {
 			return nil, false, err
 		}
-		return &core.Result{
-			SourceTree: res.SourceTree, TargetTree: res.TargetTree,
-			SourceInfo: res.SourceInfo, TargetInfo: res.TargetInfo,
-			Mapping: res.Mapping,
-		}, true, nil
+		return withoutMatrices(res), true, nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
 	return v.(*core.Result), shared, nil
+}
+
+// withoutMatrices keeps the parts of a match result that a reply reads —
+// trees, analyses and mapping — and drops the similarity matrices, which
+// the cache would otherwise keep alive for every entry it holds.
+func withoutMatrices(res *core.Result) *core.Result {
+	return &core.Result{
+		SourceTree: res.SourceTree, TargetTree: res.TargetTree,
+		SourceInfo: res.SourceInfo, TargetInfo: res.TargetInfo,
+		Mapping: res.Mapping,
+	}
 }
 
 func (f *Frontend) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {

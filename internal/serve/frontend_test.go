@@ -46,6 +46,18 @@ func rankKey(ranked []registry.Ranked) string {
 	return out
 }
 
+// checkWithoutMatrices asserts that a served match result carries the
+// full result's mapping but none of its similarity matrices.
+func checkWithoutMatrices(t *testing.T, served, full *core.Result) {
+	t.Helper()
+	if served.Struct != nil || served.LSim.Rows() != 0 || served.WSim.Rows() != 0 {
+		t.Errorf("served result of %s keeps its similarity matrices", served.TargetTree.Schema.Name)
+	}
+	if served.Mapping.String() != full.Mapping.String() {
+		t.Errorf("served mapping differs from the direct match:\n%s\nwant\n%s", served.Mapping, full.Mapping)
+	}
+}
+
 // calmOptions sizes a frontend so admission and degradation never
 // interfere with what a test is actually asserting.
 func calmOptions(cacheCap int) Options {
@@ -139,6 +151,14 @@ func TestMatchBatchCacheHitIsIdentical(t *testing.T) {
 	}
 	if rankKey(cold.Ranked) != rankKey(warm.Ranked) || cold.Stats != warm.Stats {
 		t.Error("cached reply differs from the fresh one")
+	}
+	// The cache keeps each ranked match's mapping, not its matrices.
+	direct, _, err := r.Match(probe, spec.TopK, registry.PlanOptions{Force: spec.Retrieval, Index: spec.Index})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rk := range warm.Ranked {
+		checkWithoutMatrices(t, rk.Result, direct[i].Result)
 	}
 	// A different spec is a different key.
 	other, err := f.MatchBatch(ctx, probe, MatchSpec{Retrieval: registry.StrategyIndexed, TopK: 3, Index: spec.Index})
@@ -319,9 +339,7 @@ func TestMatchPairCachedAndIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cold.Mapping.Leaves) != len(direct.Mapping.Leaves) {
-		t.Error("frontend pair match differs from MatchPrepared")
-	}
+	checkWithoutMatrices(t, cold, direct)
 	warm, shared, err := f.MatchPair(ctx, a, b)
 	if err != nil {
 		t.Fatal(err)

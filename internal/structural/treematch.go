@@ -1,6 +1,8 @@
 package structural
 
 import (
+	"sync"
+
 	"repro/internal/matrix"
 	"repro/internal/par"
 	"repro/internal/schematree"
@@ -48,14 +50,9 @@ type matcher struct {
 // package derives it from element-level linguistic similarity. The
 // parameter set p should satisfy p.Validate().
 func TreeMatch(ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) *Result {
-	m := &matcher{ts: ts, tt: tt, lsim: lsim, p: p, compat: p.Compat}
-	if m.compat == nil {
-		m.compat = DefaultCompat()
-	}
-	ns, nt := ts.Len(), tt.Len()
-	m.res = &Result{SSim: matrix.New(ns, nt), WSim: matrix.New(ns, nt)}
-	m.touchedS = make([]bool, ns)
-	m.touchedT = make([]bool, nt)
+	res := &Result{SSim: matrix.New(ts.Len(), tt.Len()), WSim: matrix.New(ts.Len(), tt.Len())}
+	m := newMatcher(ts, tt, lsim, p, res)
+	defer m.release()
 	// The lazy memo's copy-invariance argument holds for the leaf basis
 	// only (frontier and children bases include non-leaf cells whose
 	// values are not copy-invariant), so it is disabled otherwise.
@@ -65,14 +62,6 @@ func TreeMatch(ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) *Result {
 	// The bitset index likewise applies only to the leaf basis.
 	if p.FastStrongLinks && p.StructuralBasis == BasisLeaves && p.FrontierDepth == 0 {
 		m.links = newLinkIndex(ts, tt)
-	}
-	m.frontS = make([][]int, ns)
-	m.frontT = make([][]int, nt)
-	for _, n := range ts.Nodes {
-		m.frontS[n.Idx] = m.basis(ts, n)
-	}
-	for _, n := range tt.Nodes {
-		m.frontT[n.Idx] = m.basis(tt, n)
 	}
 
 	// Phase 1: initialize leaf structural similarity from the data-type
@@ -86,8 +75,8 @@ func TreeMatch(ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) *Result {
 		row := m.res.SSim.Row(si)
 		for _, ti := range tgtLeaves {
 			te := tt.Nodes[ti].Elem
-			if p.LeafCompat != nil {
-				if v, ok := p.LeafCompat(se, te); ok {
+			if m.p.LeafCompat != nil {
+				if v, ok := m.p.LeafCompat(se, te); ok {
 					row[ti] = v
 					continue
 				}
@@ -118,17 +107,70 @@ func TreeMatch(ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) *Result {
 			wRow[ti] = m.wsimLeaf(si, ti)
 		}
 	})
-	return m.res
+	return res
+}
+
+// matchers pools the call-local scratch of TreeMatch and SecondPass —
+// the matcher with its touched and basis arrays — so that a call
+// allocates only the Result it returns. Every call takes one matcher and
+// puts it back before returning.
+var matchers = sync.Pool{New: func() any { return new(matcher) }}
+
+// defaultCompat is the table read when Params.Compat is nil. It is never
+// written; DefaultCompat gives callers a copy of their own to mutate.
+var defaultCompat = DefaultCompat()
+
+// newMatcher takes a matcher from the pool and sets it up for one call
+// over ts and tt writing into res: cleared touched marks and the basis of
+// every node.
+func newMatcher(ts, tt *schematree.Tree, lsim matrix.Matrix, p Params, res *Result) *matcher {
+	m := matchers.Get().(*matcher)
+	*m = matcher{
+		ts: ts, tt: tt, lsim: lsim, p: p, compat: p.Compat, res: res,
+		touchedS: resize(m.touchedS, ts.Len()),
+		touchedT: resize(m.touchedT, tt.Len()),
+		frontS:   resize(m.frontS, ts.Len()),
+		frontT:   resize(m.frontT, tt.Len()),
+	}
+	if m.compat == nil {
+		m.compat = defaultCompat
+	}
+	for _, n := range ts.Nodes {
+		m.frontS[n.Idx] = m.basis(ts, n)
+	}
+	for _, n := range tt.Nodes {
+		m.frontT[n.Idx] = m.basis(tt, n)
+	}
+	return m
+}
+
+// release drops every reference the matcher holds into the call's trees,
+// matrices and parameters and returns its arrays to the pool.
+func (m *matcher) release() {
+	clear(m.frontS)
+	clear(m.frontT)
+	*m = matcher{touchedS: m.touchedS, touchedT: m.touchedT, frontS: m.frontS, frontT: m.frontT}
+	matchers.Put(m)
+}
+
+// resize returns s with length n and every element zero, reusing its
+// array when large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // basis returns the descendant set that drives structural similarity for a
 // node: its leaves (default), its depth-k frontier, or its immediate
 // children (ablation). For a leaf it is the node itself.
 func (m *matcher) basis(tr *schematree.Tree, n *schematree.Node) []int {
-	if n.IsLeaf() {
-		return []int{n.Idx}
-	}
 	switch {
+	case n.IsLeaf():
+		return tr.Leaves(n) // just n, without allocating
 	case m.p.StructuralBasis == BasisChildren:
 		out := make([]int, len(n.Children))
 		for i, c := range n.Children {
@@ -422,20 +464,8 @@ func (m *matcher) memoStore(s, t *schematree.Node, ls, lt []int, v float64) {
 // similarity of non-leaf nodes after they were first calculated). No
 // increase/decrease steps run during the second pass.
 func SecondPass(res *Result, ts, tt *schematree.Tree, lsim matrix.Matrix, p Params) {
-	m := &matcher{ts: ts, tt: tt, lsim: lsim, p: p, compat: p.Compat, res: res}
-	if m.compat == nil {
-		m.compat = DefaultCompat()
-	}
-	m.touchedS = make([]bool, ts.Len())
-	m.touchedT = make([]bool, tt.Len())
-	m.frontS = make([][]int, ts.Len())
-	m.frontT = make([][]int, tt.Len())
-	for _, n := range ts.Nodes {
-		m.frontS[n.Idx] = m.basis(ts, n)
-	}
-	for _, n := range tt.Nodes {
-		m.frontT[n.Idx] = m.basis(tt, n)
-	}
+	m := newMatcher(ts, tt, lsim, p, res)
+	defer m.release()
 	if p.FastStrongLinks && p.StructuralBasis == BasisLeaves && p.FrontierDepth == 0 {
 		m.links = newLinkIndex(ts, tt)
 		m.reindexLinks()

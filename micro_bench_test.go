@@ -6,7 +6,9 @@ package cupid_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/linguistic"
+	"repro/internal/mapping"
 	"repro/internal/matrix"
 	"repro/internal/model"
 	"repro/internal/par"
@@ -127,17 +129,7 @@ func BenchmarkNameSimTS(b *testing.B) {
 // match) and the 8×50×2 synthetic pair of its pair workload (417 elements
 // a side). Both schemas are analyzed once, as a prepared artifact is.
 func BenchmarkLSim(b *testing.B) {
-	corpus := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{Families: 1, PerFamily: 2, Seed: 1})
-	pair := workloads.Synthetic(workloads.SyntheticSpec{
-		Tables: 8, ColsPerTable: 50, Depth: 2, Seed: 1, Rename: 0.3, Renest: 0.2,
-	})
-	for _, c := range []struct {
-		name     string
-		src, dst *model.Schema
-	}{
-		{"registry", workloads.FamilyProbe(0, 1), corpus[1]},
-		{"pair8x50x2", pair.Source, pair.Target},
-	} {
+	for _, c := range matchShapes() {
 		b.Run(c.name, func(b *testing.B) {
 			lm := linguistic.NewMatcher(thesaurus.Base())
 			a, t := lm.Analyze(c.src), lm.Analyze(c.dst)
@@ -148,6 +140,65 @@ func BenchmarkLSim(b *testing.B) {
 			}
 		})
 	}
+}
+
+// matchShapes are the two match shapes of the repository benchmark: a
+// registry-shaped pair (a FamilyProbe against one FamilyCorpus member, as
+// in every /match/batch candidate match, ~15×17 nodes) and the 8×50×2
+// synthetic pair of its pair workload (~420 nodes a side).
+func matchShapes() []struct {
+	name     string
+	src, dst *model.Schema
+} {
+	corpus := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{Families: 1, PerFamily: 2, Seed: 1})
+	pair := workloads.Synthetic(workloads.SyntheticSpec{
+		Tables: 8, ColsPerTable: 50, Depth: 2, Seed: 1, Rename: 0.3, Renest: 0.2,
+	})
+	return []struct {
+		name     string
+		src, dst *model.Schema
+	}{
+		{"registry", workloads.FamilyProbe(0, 1), corpus[1]},
+		{"pair8x50x2", pair.Source, pair.Target},
+	}
+}
+
+// BenchmarkMatchPrepared times one whole prepared match (LSim, lift,
+// TreeMatch, SecondPass, mapping generation) on the benchmark's two
+// shapes. The registry shape is the per-candidate cost of a batch probe;
+// the pair shape is large enough that its loops fan out over the workers.
+func BenchmarkMatchPrepared(b *testing.B) {
+	for _, c := range matchShapes() {
+		b.Run(c.name, func(b *testing.B) {
+			m := prepareMatcher(b)
+			src, dst := mustPrepare(b, m, c.src), mustPrepare(b, m, c.dst)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.MatchPrepared(src, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func prepareMatcher(tb testing.TB) *core.Matcher {
+	tb.Helper()
+	m, err := core.NewMatcher(core.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+func mustPrepare(tb testing.TB, m *core.Matcher, s *model.Schema) *core.Prepared {
+	tb.Helper()
+	p, err := m.Prepare(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
 }
 
 // allocFixture builds the mid-size synthetic schema pair used by the
@@ -180,32 +231,68 @@ func allocFixture(tb testing.TB) (lm *linguistic.Matcher, a, c *linguistic.Schem
 	return lm, a, c, ts, tt, lsim
 }
 
-// TestAllocRegressions pins the allocation behaviour of the hot paths on a
-// mid-size synthetic schema. NameSimTS must not allocate and LSim is held
-// at its measured count (34: the matrix, the token-similarity table and
-// the compatible-category rows), so any per-pair or per-row allocation
-// fails. TreeMatch's bound carries ~2x headroom over its measured 75, so
-// incidental churn passes but reintroducing a per-call or per-row
-// allocation (e.g. [][]float64 row allocation) fails loudly. Runs with
-// one worker so the goroutine machinery of the parallel path is not
-// counted.
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
+
+// TestAllocRegressions pins the allocation behaviour of the hot paths at
+// their measured counts, so that any new per-call, per-row or per-pair
+// allocation fails. On the mid-size synthetic schema, NameSimTS must not
+// allocate, LSim allocates 3 objects — the matrix it returns and its two
+// loop bodies (its token-similarity table and category rows come from a
+// pool) — and TreeMatch 5 (its Result, two matrices, two loop bodies). On
+// a registry-shaped pair (a FamilyProbe against a FamilyCorpus member,
+// the per-candidate match of a batch probe) a whole MatchPrepared
+// allocates 14 objects, all of them the Result it returns or loop bodies:
+// TreeMatch 5 again, SecondPass none, Generate 3 (the Mapping and its two
+// element slices). Analyzing a FamilyCorpus schema allocates 360.5
+// objects on average. Runs with one worker so the goroutine machinery of
+// the parallel path is not counted.
 func TestAllocRegressions(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled buffers at random, so allocation counts vary")
+	}
 	prev := par.SetMaxWorkers(1)
 	defer par.SetMaxWorkers(prev)
 	lm, a, c, ts, tt, lsim := allocFixture(t)
-
+	p := structural.DefaultParams()
 	ts1 := linguistic.Normalize("PurchaseOrderLines", lm.Th)
 	ts2 := linguistic.Normalize("OrderItems", lm.Th)
-	if got := testing.AllocsPerRun(200, func() { lm.NameSimTS(ts1, ts2) }); got > 0 {
-		t.Errorf("NameSimTS allocates %.1f objects/op, want 0", got)
+
+	m := prepareMatcher(t)
+	shape := matchShapes()[0]
+	src, dst := mustPrepare(t, m, shape.src), mustPrepare(t, m, shape.dst)
+	res, err := m.MatchPrepared(src, dst)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	if got := testing.AllocsPerRun(10, func() { lm.LSim(a, c) }); got > 34 {
-		t.Errorf("LSim allocates %.1f objects/op, want <= 34", got)
+	for _, b := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"NameSimTS", 0, func() { lm.NameSimTS(ts1, ts2) }},
+		{"LSim", 3, func() { lm.LSim(a, c) }},
+		{"TreeMatch", 5, func() { structural.TreeMatch(ts, tt, lsim, p) }},
+		{"MatchPrepared/registry", 14, func() { m.MatchPrepared(src, dst) }},
+		{"TreeMatch/registry", 5, func() { structural.TreeMatch(src.Tree(), dst.Tree(), res.LSim, p) }},
+		{"SecondPass/registry", 0, func() { structural.SecondPass(res.Struct, src.Tree(), dst.Tree(), res.LSim, p) }},
+		{"Generate/registry", 3, func() {
+			mapping.Generate(src.Tree(), dst.Tree(), res.Struct, res.LSim, mapping.DefaultOptions())
+		}},
+	} {
+		if got := testing.AllocsPerRun(20, b.fn); got > b.max {
+			t.Errorf("%s allocates %.1f objects/op, want <= %.0f", b.name, got, b.max)
+		}
 	}
 
-	p := structural.DefaultParams()
-	if got := testing.AllocsPerRun(10, func() { structural.TreeMatch(ts, tt, lsim, p) }); got > 150 {
-		t.Errorf("TreeMatch allocates %.1f objects/op, want <= 150", got)
+	corpus := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{Families: workloads.NumFamilies(), PerFamily: 4, Seed: 1})
+	perSchema := testing.AllocsPerRun(5, func() {
+		for _, s := range corpus {
+			lm.Analyze(s)
+		}
+	}) / float64(len(corpus))
+	if perSchema > 360.5 {
+		t.Errorf("Analyze allocates %.1f objects per FamilyCorpus schema, want <= 360.5", perSchema)
 	}
 }
