@@ -52,9 +52,10 @@
 // included, is call-local, and nothing is shared between matches (the
 // kernels' working storage is pooled and reused, never shared). A match
 // fans its loops out over one process-wide worker budget (internal/par):
-// a lone match uses every core, while matches run from inside another
-// parallel loop — a repository's candidate scoring — run sequentially on
-// the goroutine that scores them.
+// a match uses the helpers that are free — every core when nothing else
+// runs — while matches run from inside another parallel loop (a
+// repository's candidate scoring), or while such a loop holds the budget,
+// run sequentially on their own goroutine.
 // Configure first, then share: analysis records thesaurus keys in each
 // prepared schema, so Config, Params and the Thesaurus must not be changed
 // once schemas have been prepared or matched with them.

@@ -134,10 +134,11 @@ type Result struct {
 // per-match state, including the linguistic phase's token-similarity
 // table, is local to the call, and its storage comes from pools that no
 // two calls use at once. Match fans the quadratic phases out over the
-// process-wide worker budget (see internal/par): a single call uses the
-// available cores, while a match called from a parallel loop's body
-// (the registry's candidate scoring) finds the budget taken and runs
-// sequentially, starting no goroutines. Prepare records thesaurus keys in
+// process-wide worker budget (see internal/par): a call uses the helpers
+// that are free — every core when nothing else runs — while a match
+// called from a parallel loop's body (the registry's candidate scoring),
+// or run while another long loop holds the budget, runs sequentially,
+// starting no goroutines. Prepare records thesaurus keys in
 // each artifact, so the configured thesaurus must not be changed once
 // schemas have been prepared with it.
 type Matcher struct {

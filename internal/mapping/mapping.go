@@ -195,9 +195,9 @@ type bestElsewhere struct {
 
 func computeBestElsewhere(sc *scratch, ts, tt *schematree.Tree, res *structural.Result, opt Options, leaves bool) bestElsewhere {
 	be := bestElsewhere{
-		max:    resize(sc.be.max, ts.Len()),
-		second: resize(sc.be.second, ts.Len()),
-		argmax: resize(sc.be.argmax, ts.Len()),
+		max:    matrix.Zeroed(sc.be.max, ts.Len()),
+		second: matrix.Zeroed(sc.be.second, ts.Len()),
+		argmax: matrix.Zeroed(sc.be.argmax, ts.Len()),
 	}
 	sc.be = be
 	for i := range be.argmax {
@@ -223,17 +223,6 @@ func computeBestElsewhere(sc *scratch, ts, tt *schematree.Tree, res *structural.
 		}
 	}
 	return be
-}
-
-// resize returns s with length n and every element zero, reusing its
-// array when large enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // other returns the source's best wsim over targets other than t.

@@ -21,6 +21,18 @@ type Matrix struct {
 	data       []float64
 }
 
+// Zeroed returns s with length n and every element zero, reusing its
+// array when large enough. The match kernels size their pooled scratch
+// arrays with it.
+func Zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // New returns a zeroed rows×cols matrix backed by one allocation.
 func New(rows, cols int) Matrix {
 	return Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}

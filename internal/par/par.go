@@ -16,10 +16,13 @@
 // loop in the process. A loop that finds no helper free runs inline on
 // its caller. So a loop nested inside another loop's body (the per-match
 // kernels inside a repository's candidate loop) runs sequentially while
-// the outer loop keeps the cores busy, and a single top-level match still
-// fans out. Goroutines running loop bodies never exceed Workers() for one
-// top-level call, however deeply its loops nest; k concurrent top-level
-// callers add at most k-1 to that, because each works its own loop.
+// the outer loop keeps the cores busy. A top-level loop fans out over the
+// helpers that are free when it starts: all of them when nothing else
+// runs, none while another long loop (a candidate sweep, a clustering
+// job) holds them, in which case it runs on its caller alone. Goroutines
+// running loop bodies never exceed Workers() for one top-level call,
+// however deeply its loops nest; k concurrent top-level callers add at
+// most k-1 to that, because each works its own loop.
 package par
 
 import (

@@ -127,10 +127,10 @@ func newMatcher(ts, tt *schematree.Tree, lsim matrix.Matrix, p Params, res *Resu
 	m := matchers.Get().(*matcher)
 	*m = matcher{
 		ts: ts, tt: tt, lsim: lsim, p: p, compat: p.Compat, res: res,
-		touchedS: resize(m.touchedS, ts.Len()),
-		touchedT: resize(m.touchedT, tt.Len()),
-		frontS:   resize(m.frontS, ts.Len()),
-		frontT:   resize(m.frontT, tt.Len()),
+		touchedS: matrix.Zeroed(m.touchedS, ts.Len()),
+		touchedT: matrix.Zeroed(m.touchedT, tt.Len()),
+		frontS:   matrix.Zeroed(m.frontS, ts.Len()),
+		frontT:   matrix.Zeroed(m.frontT, tt.Len()),
 	}
 	if m.compat == nil {
 		m.compat = defaultCompat
@@ -151,17 +151,6 @@ func (m *matcher) release() {
 	clear(m.frontT)
 	*m = matcher{touchedS: m.touchedS, touchedT: m.touchedT, frontS: m.frontS, frontT: m.frontT}
 	matchers.Put(m)
-}
-
-// resize returns s with length n and every element zero, reusing its
-// array when large enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // basis returns the descendant set that drives structural similarity for a

@@ -4,6 +4,7 @@
 package cupid_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -246,11 +247,11 @@ var raceEnabled bool
 // TreeMatch 5 again, SecondPass none, Generate 3 (the Mapping and its two
 // element slices). Analyzing a FamilyCorpus schema allocates 360.5
 // objects on average. Runs with one worker so the goroutine machinery of
-// the parallel path is not counted.
+// the parallel path is not counted. Under the race detector sync.Pool
+// drops pooled items at random, so the bounds of the kernels that take
+// their scratch from a pool are checked only in ordinary builds; the
+// others hold in race builds too.
 func TestAllocRegressions(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop pooled buffers at random, so allocation counts vary")
-	}
 	prev := par.SetMaxWorkers(1)
 	defer par.SetMaxWorkers(prev)
 	lm, a, c, ts, tt, lsim := allocFixture(t)
@@ -267,32 +268,42 @@ func TestAllocRegressions(t *testing.T) {
 	}
 
 	for _, b := range []struct {
-		name string
-		max  float64
-		fn   func()
+		name   string
+		max    float64
+		pooled bool // takes scratch from a sync.Pool
+		fn     func()
 	}{
-		{"NameSimTS", 0, func() { lm.NameSimTS(ts1, ts2) }},
-		{"LSim", 3, func() { lm.LSim(a, c) }},
-		{"TreeMatch", 5, func() { structural.TreeMatch(ts, tt, lsim, p) }},
-		{"MatchPrepared/registry", 14, func() { m.MatchPrepared(src, dst) }},
-		{"TreeMatch/registry", 5, func() { structural.TreeMatch(src.Tree(), dst.Tree(), res.LSim, p) }},
-		{"SecondPass/registry", 0, func() { structural.SecondPass(res.Struct, src.Tree(), dst.Tree(), res.LSim, p) }},
-		{"Generate/registry", 3, func() {
+		{"NameSimTS", 0, false, func() { lm.NameSimTS(ts1, ts2) }},
+		{"LSim", 3, true, func() { lm.LSim(a, c) }},
+		{"TreeMatch", 5, true, func() { structural.TreeMatch(ts, tt, lsim, p) }},
+		{"MatchPrepared/registry", 14, true, func() { m.MatchPrepared(src, dst) }},
+		{"TreeMatch/registry", 5, true, func() { structural.TreeMatch(src.Tree(), dst.Tree(), res.LSim, p) }},
+		{"SecondPass/registry", 0, true, func() { structural.SecondPass(res.Struct, src.Tree(), dst.Tree(), res.LSim, p) }},
+		{"Generate/registry", 3, true, func() {
 			mapping.Generate(src.Tree(), dst.Tree(), res.Struct, res.LSim, mapping.DefaultOptions())
 		}},
 	} {
+		if b.pooled && raceEnabled {
+			continue
+		}
 		if got := testing.AllocsPerRun(20, b.fn); got > b.max {
 			t.Errorf("%s allocates %.1f objects/op, want <= %.0f", b.name, got, b.max)
 		}
 	}
 
 	corpus := workloads.FamilyCorpus(workloads.FamilyCorpusSpec{Families: workloads.NumFamilies(), PerFamily: 4, Seed: 1})
-	perSchema := testing.AllocsPerRun(5, func() {
-		for _, s := range corpus {
-			lm.Analyze(s)
-		}
-	}) / float64(len(corpus))
+	// AllocsPerRun counts every allocation in the process, and in race
+	// builds about one run in fifty picks up a single allocation from
+	// outside Analyze; the least of three measurements leaves it out.
+	perSchema := math.Inf(1)
+	for k := 0; k < 3; k++ {
+		perSchema = min(perSchema, testing.AllocsPerRun(5, func() {
+			for _, s := range corpus {
+				lm.Analyze(s)
+			}
+		})/float64(len(corpus)))
+	}
 	if perSchema > 360.5 {
-		t.Errorf("Analyze allocates %.1f objects per FamilyCorpus schema, want <= 360.5", perSchema)
+		t.Errorf("Analyze allocates %.3f objects per FamilyCorpus schema, want <= 360.5", perSchema)
 	}
 }
